@@ -25,6 +25,9 @@ type NIC struct {
 	movedGbit float64
 	// lastRate is the aggregate egress rate of the previous step.
 	lastRate float64
+	// egressRes and ingressRes index this NIC's resources in the
+	// allocator arena; each is valid while the NIC has flows that way.
+	egressRes, ingressRes int
 }
 
 // MovedGbit returns the cumulative egress volume in Gbit.
@@ -39,8 +42,6 @@ type Flow struct {
 	ID        int
 	Src, Dst  *NIC
 	Remaining float64 // Gbit left to move
-	// Demand caps the flow's rate (Gbps); +Inf for greedy flows.
-	Demand float64
 	// OnComplete, if non-nil, fires when the flow finishes, with the
 	// virtual completion time.
 	OnComplete func(now float64)
@@ -48,8 +49,16 @@ type Flow struct {
 	StartedAt   float64
 	CompletedAt float64
 
-	rate float64 // current max-min assigned rate
+	// demand caps the flow's rate (Gbps); +Inf for greedy flows. It
+	// never changes after StartFlow, which the allocator's skip of
+	// unchanged steps relies on.
+	demand float64
+	rate   float64 // current max-min assigned rate
+	frozen bool    // rate fixed for the rest of the current filling
 }
+
+// Demand returns the flow's rate cap in Gbps; +Inf for greedy flows.
+func (f *Flow) Demand() float64 { return f.demand }
 
 // Rate returns the flow's currently assigned rate in Gbps.
 func (f *Flow) Rate() float64 { return f.rate }
@@ -66,6 +75,12 @@ type Network struct {
 	nextID    int
 	completed int
 	MaxStep   float64 // cap on a single advance; default 1 s
+
+	// res is the allocator's resource arena, rebuilt only when
+	// flowsChanged reports a flow started or removed since the last
+	// assignRates.
+	res          []resource
+	flowsChanged bool
 }
 
 // NewNetwork returns an empty network at virtual time zero.
@@ -123,10 +138,11 @@ func (n *Network) StartFlow(src, dst string, gbit, demand float64, onComplete fu
 	n.nextID++
 	f := &Flow{
 		ID: n.nextID, Src: s, Dst: d,
-		Remaining: gbit, Demand: demand,
+		Remaining: gbit, demand: demand,
 		OnComplete: onComplete, StartedAt: n.now,
 	}
 	n.flows = append(n.flows, f)
+	n.flowsChanged = true
 	s.outFlows = append(s.outFlows, f)
 	d.inFlows = append(d.inFlows, f)
 	return f, nil
@@ -135,58 +151,92 @@ func (n *Network) StartFlow(src, dst string, gbit, demand float64, onComplete fu
 // ActiveFlows returns the number of in-flight flows.
 func (n *Network) ActiveFlows() int { return len(n.flows) }
 
+// resource is one capacity the allocator fills: a NIC's shaped egress
+// or its fixed ingress. The allocator keeps these in an arena on the
+// Network and reuses it across calls.
+type resource struct {
+	nic    *NIC
+	egress bool
+	flows  []*Flow
+	// read is the capacity read at the last recompute; the dirty skip
+	// compares each step's read against it bit for bit.
+	read float64
+	// cap and unfrozen are the progressive-filling state: remaining
+	// capacity and the number of this resource's flows not yet frozen.
+	cap      float64
+	unfrozen int
+}
+
 // assignRates computes max-min fair rates for all active flows via
 // progressive filling over two resource classes: each NIC's shaped
 // egress capacity and each NIC's ingress capacity. This is the
 // production sharing model; the aggregate-pipe simplification it is
 // benchmarked against lives in the ablation suite.
+//
+// The rates depend only on the flow set, the flows' demands (fixed at
+// StartFlow) and the resource capacities. So when no flow started or
+// finished since the last call and every capacity reads bit-equal to
+// the last one, the previous rates stand and the filling is skipped.
+// Each active egress shaper's Rate is still asked exactly once per
+// call, in NIC order.
 func (n *Network) assignRates() {
-	type resource struct {
-		cap   float64
-		flows []*Flow
+	changed := n.flowsChanged
+	if changed {
+		n.flowsChanged = false
+		n.res = n.res[:0]
+		for _, nic := range n.order {
+			if len(nic.outFlows) > 0 {
+				nic.egressRes = len(n.res)
+				n.res = append(n.res, resource{nic: nic, egress: true, flows: nic.outFlows})
+			}
+			if len(nic.inFlows) > 0 {
+				nic.ingressRes = len(n.res)
+				n.res = append(n.res, resource{nic: nic, flows: nic.inFlows})
+			}
+		}
 	}
-	var resources []*resource
-	for _, nic := range n.order {
-		if len(nic.outFlows) > 0 {
-			resources = append(resources, &resource{
-				cap:   nic.Egress.Rate(infDemand),
-				flows: nic.outFlows,
-			})
+	for i := range n.res {
+		r := &n.res[i]
+		c := r.nic.IngressGbps
+		if r.egress {
+			c = r.nic.Egress.Rate(infDemand)
 		}
-		if len(nic.inFlows) > 0 {
-			resources = append(resources, &resource{
-				cap:   nic.IngressGbps,
-				flows: nic.inFlows,
-			})
+		if math.Float64bits(c) != math.Float64bits(r.read) {
+			r.read = c
+			changed = true
 		}
+	}
+	if !changed {
+		return
 	}
 
-	frozen := make(map[*Flow]bool, len(n.flows))
+	for i := range n.res {
+		r := &n.res[i]
+		r.cap = r.read
+		r.unfrozen = len(r.flows)
+	}
 	for _, f := range n.flows {
 		f.rate = 0
+		f.frozen = false
 	}
 
-	for len(frozen) < len(n.flows) {
+	frozen := 0
+	for frozen < len(n.flows) {
 		// Increment = min over resources of remaining/unfrozen count,
 		// and over flows of demand headroom.
 		inc := math.Inf(1)
-		for _, r := range resources {
-			unfrozen := 0
-			for _, f := range r.flows {
-				if !frozen[f] {
-					unfrozen++
-				}
-			}
-			if unfrozen == 0 {
+		for i := range n.res {
+			r := &n.res[i]
+			if r.unfrozen == 0 {
 				continue
 			}
-			if share := r.cap / float64(unfrozen); share < inc {
+			if share := r.cap / float64(r.unfrozen); share < inc {
 				inc = share
 			}
 		}
 		for _, f := range n.flows {
-			if !frozen[f] {
-				if head := f.Demand - f.rate; head < inc {
+			if !f.frozen {
+				if head := f.demand - f.rate; head < inc {
 					inc = head
 				}
 			}
@@ -195,38 +245,41 @@ func (n *Network) assignRates() {
 			break
 		}
 
-		// Raise unfrozen flows and charge resources.
-		for _, r := range resources {
-			for _, f := range r.flows {
-				if !frozen[f] {
-					r.cap -= inc
-				}
+		// Raise unfrozen flows and charge resources, one subtraction
+		// per unfrozen flow so the rounding matches a per-flow charge.
+		for i := range n.res {
+			r := &n.res[i]
+			for k := 0; k < r.unfrozen; k++ {
+				r.cap -= inc
 			}
 			if r.cap < 1e-12 {
 				r.cap = 0
 			}
 		}
 		for _, f := range n.flows {
-			if !frozen[f] {
+			if !f.frozen {
 				f.rate += inc
 			}
 		}
 
 		// Freeze flows at demand or on saturated resources.
 		progressed := false
-		for _, r := range resources {
-			if r.cap == 0 {
+		for i := range n.res {
+			r := &n.res[i]
+			if r.cap == 0 && r.unfrozen > 0 {
 				for _, f := range r.flows {
-					if !frozen[f] {
-						frozen[f] = true
+					if !f.frozen {
+						n.freeze(f)
+						frozen++
 						progressed = true
 					}
 				}
 			}
 		}
 		for _, f := range n.flows {
-			if !frozen[f] && f.rate >= f.Demand-1e-12 {
-				frozen[f] = true
+			if !f.frozen && f.rate >= f.demand-1e-12 {
+				n.freeze(f)
+				frozen++
 				progressed = true
 			}
 		}
@@ -249,11 +302,24 @@ func (n *Network) assignRates() {
 	}
 }
 
+// freeze fixes f's rate for the rest of the filling and takes it off
+// its source egress and destination ingress counts.
+func (n *Network) freeze(f *Flow) {
+	f.frozen = true
+	n.res[f.Src.egressRes].unfrozen--
+	n.res[f.Dst.ingressRes].unfrozen--
+}
+
 // step advances the simulation by one exact interval, at most
 // maxDt seconds, and returns the interval taken.
 func (n *Network) step(maxDt float64) float64 {
 	n.assignRates()
+	return n.advance(maxDt)
+}
 
+// advance moves flows and shapers forward at the assigned rates by one
+// exact interval, at most maxDt seconds, and returns the interval.
+func (n *Network) advance(maxDt float64) float64 {
 	dt := math.Min(maxDt, n.MaxStep)
 	for _, f := range n.flows {
 		if f.rate > 0 {
@@ -310,6 +376,7 @@ func (n *Network) removeFlow(f *Flow) {
 	n.flows = removeFromSlice(n.flows, f)
 	f.Src.outFlows = removeFromSlice(f.Src.outFlows, f)
 	f.Dst.inFlows = removeFromSlice(f.Dst.inFlows, f)
+	n.flowsChanged = true
 }
 
 func removeFromSlice(s []*Flow, f *Flow) []*Flow {
