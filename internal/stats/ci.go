@@ -81,13 +81,50 @@ func errTooFewResamples(resamples int) error {
 	return fmt.Errorf("stats: %d bootstrap resamples is too few", resamples)
 }
 
+// exactMaxN is the largest n whose order indices come from exact
+// binomial tail sums; above it quantileOrderIndices uses the normal
+// approximation.
+const exactMaxN = 100
+
+// cdfTable is BinomialCDF(n, q, ·) for one n <= exactMaxN, computed as
+// one prefix sum instead of a fresh sum per k. It is a fixed-size
+// value, so it lives on the caller's stack.
+type cdfTable struct {
+	n int
+	v [exactMaxN]float64 // v[k]: running PMF sum through k, before the clamp
+}
+
+// fill computes the table. Entry k adds the same BinomialPMF terms in
+// the same order as BinomialCDF(n, q, k), so at(k) is bit-equal to it.
+func (t *cdfTable) fill(n int, q float64) {
+	t.n = n
+	sum := 0.0
+	for k := 0; k < n; k++ {
+		sum += BinomialPMF(n, q, k)
+		t.v[k] = sum
+	}
+}
+
+// at returns BinomialCDF(n, q, k), applying its edges and clamp on read.
+func (t *cdfTable) at(k int) float64 {
+	switch {
+	case k < 0:
+		return 0
+	case k >= t.n:
+		return 1
+	case t.v[k] > 1:
+		return 1
+	}
+	return t.v[k]
+}
+
 // quantileOrderIndices returns 1-based order-statistic indices (l, u)
 // such that [X(l), X(u)] covers the q-quantile with confidence at
 // least 1-alpha, splitting alpha evenly between tails. For n > 100 a
 // normal approximation to the binomial is used (as Le Boudec suggests);
 // otherwise exact binomial tail sums.
 func quantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
-	if n > 100 {
+	if n > exactMaxN {
 		z := NormalQuantile(1 - alpha/2)
 		mu := float64(n) * q
 		sigma := math.Sqrt(float64(n) * q * (1 - q))
@@ -113,8 +150,10 @@ func quantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
 	// the remaining risk budget — the asymmetric allocation Le Boudec
 	// permits.
 	half := alpha / 2
-	upperLoss := func(u int) float64 { return 1 - BinomialCDF(n, q, u-1) }
-	lowerLoss := func(l int) float64 { return BinomialCDF(n, q, l-1) }
+	var cdf cdfTable
+	cdf.fill(n, q)
+	upperLoss := func(u int) float64 { return 1 - cdf.at(u-1) }
+	lowerLoss := func(l int) float64 { return cdf.at(l - 1) }
 
 	u = n
 	for cand := n; cand >= 1; cand-- {
@@ -140,7 +179,7 @@ func quantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
 	// Verify achieved coverage; the loops above are conservative but
 	// double-check the extreme-order-statistic corner (coverage of
 	// [X(1), X(n)] is 1 - q^n - (1-q)^n, which can still miss alpha).
-	coverage := BinomialCDF(n, q, u-1) - BinomialCDF(n, q, l-1)
+	coverage := cdf.at(u-1) - cdf.at(l-1)
 	if coverage < 1-alpha-1e-12 {
 		return 0, 0, false
 	}

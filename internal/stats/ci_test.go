@@ -361,3 +361,97 @@ func TestFigure3Scenario(t *testing.T) {
 		t.Errorf("3-run medians missed gold CI only %d/100 times; expected frequent misses", misses)
 	}
 }
+
+// referenceOrderIndices is the original O(n^2) exact path of
+// quantileOrderIndices, which calls BinomialCDF afresh for every
+// candidate index. It is the oracle the prefix-table implementation
+// must match bit for bit.
+func referenceOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
+	half := alpha / 2
+	upperLoss := func(u int) float64 { return 1 - BinomialCDF(n, q, u-1) }
+	lowerLoss := func(l int) float64 { return BinomialCDF(n, q, l-1) }
+
+	u = n
+	for cand := n; cand >= 1; cand-- {
+		if upperLoss(cand) <= half {
+			u = cand
+		} else {
+			break
+		}
+	}
+	lowerBudget := alpha - upperLoss(u)
+	l = 1
+	for cand := 1; cand <= n; cand++ {
+		if lowerLoss(cand) <= lowerBudget {
+			l = cand
+		} else {
+			break
+		}
+	}
+	if l >= u {
+		return 0, 0, false
+	}
+	coverage := BinomialCDF(n, q, u-1) - BinomialCDF(n, q, l-1)
+	if coverage < 1-alpha-1e-12 {
+		return 0, 0, false
+	}
+	return l, u, true
+}
+
+var (
+	oracleQuantiles   = []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
+	oracleConfidences = []float64{0.8, 0.9, 0.95, 0.99}
+)
+
+// TestQuantileOrderIndicesMatchReference checks the exact path against
+// the O(n^2) oracle over every n it serves.
+func TestQuantileOrderIndicesMatchReference(t *testing.T) {
+	for n := 1; n <= exactMaxN; n++ {
+		for _, q := range oracleQuantiles {
+			for _, conf := range oracleConfidences {
+				alpha := 1 - conf
+				l, u, ok := quantileOrderIndices(n, q, alpha)
+				wl, wu, wok := referenceOrderIndices(n, q, alpha)
+				if l != wl || u != wu || ok != wok {
+					t.Fatalf("n=%d q=%g conf=%g: got (%d, %d, %v), reference (%d, %d, %v)",
+						n, q, conf, l, u, ok, wl, wu, wok)
+				}
+			}
+		}
+	}
+}
+
+// TestCDFTableBitEqualsBinomialCDF pins the table's contract: every
+// read, edges included, is bit-equal to BinomialCDF.
+func TestCDFTableBitEqualsBinomialCDF(t *testing.T) {
+	for n := 1; n <= exactMaxN; n++ {
+		for _, q := range oracleQuantiles {
+			var cdf cdfTable
+			cdf.fill(n, q)
+			for k := -1; k <= n; k++ {
+				got, want := cdf.at(k), BinomialCDF(n, q, k)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d q=%g k=%d: table %v, BinomialCDF %v", n, q, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestQuantileCIAllocFree pins that the exact path's CDF table stays on
+// the stack: a steady-state QuantileCI at the largest exact n
+// allocates nothing.
+func TestQuantileCIAllocFree(t *testing.T) {
+	var s Sample
+	s.Reset(normalSample(11, exactMaxN, 0, 1))
+	for _, q := range []float64{0.5, 0.9} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.QuantileCI(q, 0.95); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("QuantileCI(q=%g) at n=%d allocated %.1f times per run, want 0", q, exactMaxN, allocs)
+		}
+	}
+}

@@ -108,7 +108,11 @@ func BinomialCDF(n int, p float64, k int) float64 {
 	if k >= n {
 		return 1
 	}
-	// Sum from the tail with fewer terms for efficiency.
+	// Always sum upward from 0, even when the upper tail has fewer
+	// terms: the summation order fixes the low-order bits, and with
+	// them the CI order indices and every golden built on them.
+	// cdfTable adds the same terms in the same order to stay
+	// bit-equal.
 	sum := 0.0
 	for i := 0; i <= k; i++ {
 		sum += BinomialPMF(n, p, i)
