@@ -154,15 +154,28 @@ func quantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
 	cdf.fill(n, q)
 	upperLoss := func(u int) float64 { return 1 - cdf.at(u-1) }
 	lowerLoss := func(l int) float64 { return cdf.at(l - 1) }
-
-	u = n
-	for cand := n; cand >= 1; cand-- {
-		if upperLoss(cand) <= half {
-			u = cand
-		} else {
-			break
-		}
+	// covers verifies the achieved coverage of [X(l), X(u)]. The
+	// searches are conservative, but the extreme-order-statistic
+	// corner (coverage of [X(1), X(n)] is 1 - q^n - (1-q)^n) can
+	// still miss alpha.
+	covers := func(l, u int) bool {
+		return l < u && cdf.at(u-1)-cdf.at(l-1) >= 1-alpha-1e-12
 	}
+
+	// upperIndex is the smallest u whose upper-tail loss fits budget,
+	// or n (the extreme) when none does.
+	upperIndex := func(budget float64) int {
+		u := n
+		for cand := n; cand >= 1; cand-- {
+			if upperLoss(cand) <= budget {
+				u = cand
+			} else {
+				break
+			}
+		}
+		return u
+	}
+	u = upperIndex(half)
 	// Lower index gets whatever risk the upper tail left unused.
 	lowerBudget := alpha - upperLoss(u)
 	l = 1
@@ -173,17 +186,22 @@ func quantileOrderIndices(n int, q, alpha float64) (l, u int, ok bool) {
 			break
 		}
 	}
-	if l >= u {
+	if covers(l, u) {
+		return l, u, true
+	}
+	// The mirrored fallback: when even X(1) misses the lower budget
+	// (low quantiles, e.g. the p05 of n=60), keep the extreme and
+	// grant the upper tail the remaining risk instead. It runs only
+	// after the first allocation failed, so it never changes an
+	// interval that allocation found.
+	if lowerLoss(1) <= lowerBudget {
 		return 0, 0, false
 	}
-	// Verify achieved coverage; the loops above are conservative but
-	// double-check the extreme-order-statistic corner (coverage of
-	// [X(1), X(n)] is 1 - q^n - (1-q)^n, which can still miss alpha).
-	coverage := cdf.at(u-1) - cdf.at(l-1)
-	if coverage < 1-alpha-1e-12 {
-		return 0, 0, false
+	u = upperIndex(alpha - lowerLoss(1))
+	if covers(1, u) {
+		return 1, u, true
 	}
-	return l, u, true
+	return 0, 0, false
 }
 
 // MedianCI is QuantileCI at q = 0.5.

@@ -404,7 +404,9 @@ var (
 )
 
 // TestQuantileOrderIndicesMatchReference checks the exact path against
-// the O(n^2) oracle over every n it serves.
+// the O(n^2) oracle over every n it serves. The oracle lacks the
+// lower-tail fallback, so it is authoritative only where it finds an
+// interval.
 func TestQuantileOrderIndicesMatchReference(t *testing.T) {
 	for n := 1; n <= exactMaxN; n++ {
 		for _, q := range oracleQuantiles {
@@ -412,9 +414,26 @@ func TestQuantileOrderIndicesMatchReference(t *testing.T) {
 				alpha := 1 - conf
 				l, u, ok := quantileOrderIndices(n, q, alpha)
 				wl, wu, wok := referenceOrderIndices(n, q, alpha)
-				if l != wl || u != wu || ok != wok {
+				if wok && (l != wl || u != wu || !ok) {
 					t.Fatalf("n=%d q=%g conf=%g: got (%d, %d, %v), reference (%d, %d, %v)",
 						n, q, conf, l, u, ok, wl, wu, wok)
+				}
+			}
+		}
+	}
+}
+
+// TestQuantileOrderIndicesAgreeWithMinSamples pins that an exact CI
+// exists exactly from MinSamplesForQuantileCI on, for low quantiles as
+// well as high ones: q=0.05 at 95% used to fail for n = 59..70.
+func TestQuantileOrderIndicesAgreeWithMinSamples(t *testing.T) {
+	quantiles := append([]float64{0.025, 0.05, 0.4, 0.6, 0.975}, oracleQuantiles...)
+	for _, q := range quantiles {
+		for _, conf := range oracleConfidences {
+			min := MinSamplesForQuantileCI(q, conf)
+			for n := 1; n <= exactMaxN; n++ {
+				if _, _, ok := quantileOrderIndices(n, q, 1-conf); ok != (n >= min) {
+					t.Fatalf("n=%d q=%g conf=%g: ok=%v, MinSamplesForQuantileCI=%d", n, q, conf, ok, min)
 				}
 			}
 		}
