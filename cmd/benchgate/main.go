@@ -7,7 +7,13 @@
 // Usage:
 //
 //	benchgate [-config benchgate.json] [-baseline BENCH_baseline.json]
-//	          [-out BENCH_pipeline.json] [-update] [-v]
+//	          [-out BENCH_pipeline.json] [-count N] [-update] [-v]
+//	benchgate -compare old.json new.json
+//
+// -count N runs every benchmark N times and keeps the median of each
+// measurement, which is what same-host A/B comparisons need.
+// -compare prints, for each benchmark in both reports, old and new
+// ns/op, their new/old ratio, and B/op and allocs/op side by side.
 //
 // Allocation and byte counts are near-deterministic for fixed
 // -benchtime iteration counts, so they gate tightly and portably.
@@ -29,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -89,10 +96,12 @@ type Report struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-// runSuite executes one suite and returns the raw `go test` output.
-// Injectable so the parser and gate are testable without a toolchain.
-var runSuite = func(s Suite, stderr io.Writer) ([]byte, error) {
-	args := []string{"test", s.Package, "-run", "^$", "-bench", s.Bench, "-benchmem"}
+// runSuite executes one suite count times over and returns the raw
+// `go test` output. Injectable so the parser and gate are testable
+// without a toolchain.
+var runSuite = func(s Suite, count int, stderr io.Writer) ([]byte, error) {
+	args := []string{"test", s.Package, "-run", "^$", "-bench", s.Bench, "-benchmem",
+		"-count", strconv.Itoa(count)}
 	if s.Benchtime != "" {
 		args = append(args, "-benchtime", s.Benchtime)
 	}
@@ -130,6 +139,67 @@ func parseBench(out []byte) ([]Result, error) {
 		results = append(results, r)
 	}
 	return results, nil
+}
+
+// medians folds repeated measurements of a benchmark (from -count)
+// into one Result holding the median of each measurement, keeping the
+// order in which benchmarks first appear.
+func medians(results []Result) []Result {
+	var names []string
+	runs := make(map[string][]Result)
+	for _, r := range results {
+		if _, seen := runs[r.Name]; !seen {
+			names = append(names, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]Result, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		median := func(metric func(Result) float64) float64 {
+			vs := make([]float64, len(rs))
+			for i, r := range rs {
+				vs[i] = metric(r)
+			}
+			sort.Float64s(vs)
+			m := len(vs) / 2
+			if len(vs)%2 == 1 {
+				return vs[m]
+			}
+			return (vs[m-1] + vs[m]) / 2
+		}
+		out = append(out, Result{
+			Name:        name,
+			Iterations:  rs[0].Iterations,
+			NsPerOp:     median(func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  median(func(r Result) float64 { return r.BytesPerOp }),
+			AllocsPerOp: median(func(r Result) float64 { return r.AllocsPerOp }),
+		})
+	}
+	return out
+}
+
+// compare writes one line per benchmark present in both reports: old
+// and new ns/op, the new/old ratio, and B/op and allocs/op old -> new.
+func compare(old, cur Report, w io.Writer) {
+	byName := make(map[string]Result, len(old.Benchmarks))
+	for _, r := range old.Benchmarks {
+		byName[r.Name] = r
+	}
+	fmt.Fprintf(w, "%-50s %14s %14s %8s %21s %18s\n",
+		"benchmark", "old ns/op", "new ns/op", "new/old", "B/op old -> new", "allocs old -> new")
+	for _, r := range cur.Benchmarks {
+		o, ok := byName[r.Name]
+		if !ok {
+			continue
+		}
+		ratio := math.NaN()
+		if o.NsPerOp > 0 {
+			ratio = r.NsPerOp / o.NsPerOp
+		}
+		fmt.Fprintf(w, "%-50s %14.1f %14.1f %8.3f %10.0f -> %-7.0f %8.0f -> %-6.0f\n",
+			r.Name, o.NsPerOp, r.NsPerOp, ratio, o.BytesPerOp, r.BytesPerOp, o.AllocsPerOp, r.AllocsPerOp)
+	}
 }
 
 // stripProcs removes the trailing -GOMAXPROCS suffix Go appends to
@@ -219,10 +289,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outPath := fl.String("out", "BENCH_pipeline.json", "where to write the measured results")
 	update := fl.Bool("update", false, "rewrite the baseline from the fresh measurements and exit")
 	verbose := fl.Bool("v", false, "print every measured benchmark")
+	count := fl.Int("count", 1, "run each benchmark this many times and keep the medians")
+	compareMode := fl.Bool("compare", false, "compare two reports given as arguments: old.json new.json")
 	if err := fl.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if *compareMode {
+		if fl.NArg() != 2 {
+			fmt.Fprintln(stderr, "benchgate: -compare takes two reports: old.json new.json")
+			return 2
+		}
+		var old, cur Report
+		for i, r := range []*Report{&old, &cur} {
+			if err := readJSON(fl.Arg(i), r); err != nil {
+				fmt.Fprintln(stderr, "benchgate: reading report:", err)
+				return 2
+			}
+		}
+		compare(old, cur, stdout)
+		return 0
+	}
+	if *count < 1 {
+		fmt.Fprintf(stderr, "benchgate: -count %d must be at least 1\n", *count)
 		return 2
 	}
 
@@ -238,8 +329,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var results []Result
 	for _, s := range cfg.Suites {
-		fmt.Fprintf(stdout, "benchgate: %s -bench %s -benchtime %s\n", s.Package, s.Bench, s.Benchtime)
-		out, err := runSuite(s, stderr)
+		fmt.Fprintf(stdout, "benchgate: %s -bench %s -benchtime %s -count %d\n", s.Package, s.Bench, s.Benchtime, *count)
+		out, err := runSuite(s, *count, stderr)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchgate: running %s: %v\n", s.Package, err)
 			return 2
@@ -253,7 +344,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "benchgate: suite %s (%s) produced no benchmark results\n", s.Package, s.Bench)
 			return 2
 		}
-		results = append(results, rs...)
+		results = append(results, medians(rs)...)
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
 	if *verbose {

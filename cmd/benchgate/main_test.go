@@ -97,7 +97,7 @@ func TestGate(t *testing.T) {
 func withFakeSuite(t *testing.T, out string) {
 	t.Helper()
 	orig := runSuite
-	runSuite = func(s Suite, stderr io.Writer) ([]byte, error) { return []byte(out), nil }
+	runSuite = func(s Suite, count int, stderr io.Writer) ([]byte, error) { return []byte(out), nil }
 	t.Cleanup(func() { runSuite = orig })
 }
 
@@ -164,6 +164,99 @@ func TestRunUpdateThenGate(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "BenchmarkEngineRunUntil") {
 		t.Fatalf("stderr should name the regressed benchmark: %q", stderr.String())
+	}
+}
+
+func TestMedians(t *testing.T) {
+	rs := medians([]Result{
+		{Name: "BenchmarkB", Iterations: 10, NsPerOp: 30, BytesPerOp: 8, AllocsPerOp: 1},
+		{Name: "BenchmarkA", Iterations: 5, NsPerOp: 7},
+		{Name: "BenchmarkB", Iterations: 10, NsPerOp: 10, BytesPerOp: 8, AllocsPerOp: 1},
+		{Name: "BenchmarkB", Iterations: 10, NsPerOp: 20, BytesPerOp: 16, AllocsPerOp: 3},
+		{Name: "BenchmarkA", Iterations: 5, NsPerOp: 9},
+	})
+	want := []Result{
+		{Name: "BenchmarkB", Iterations: 10, NsPerOp: 20, BytesPerOp: 8, AllocsPerOp: 1},
+		{Name: "BenchmarkA", Iterations: 5, NsPerOp: 8}, // even count: mean of the middle two
+	}
+	if len(rs) != len(want) {
+		t.Fatalf("medians = %+v, want %+v", rs, want)
+	}
+	for i := range want {
+		if rs[i] != want[i] {
+			t.Errorf("medians[%d] = %+v, want %+v", i, rs[i], want[i])
+		}
+	}
+}
+
+func TestRunCountKeepsMedians(t *testing.T) {
+	dir := t.TempDir()
+	outPath := filepath.Join(dir, "BENCH_pipeline.json")
+	args := []string{"-config", writeConfig(t, dir), "-baseline", filepath.Join(dir, "base.json"),
+		"-out", outPath, "-update", "-count", "3"}
+	var gotCount int
+	orig := runSuite
+	runSuite = func(s Suite, count int, stderr io.Writer) ([]byte, error) {
+		gotCount = count
+		return []byte(`BenchmarkX-8	100	300 ns/op	16 B/op	1 allocs/op
+BenchmarkX-8	100	100 ns/op	16 B/op	1 allocs/op
+BenchmarkX-8	100	200 ns/op	16 B/op	1 allocs/op
+`), nil
+	}
+	t.Cleanup(func() { runSuite = orig })
+
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d, stderr %q", code, stderr.String())
+	}
+	if gotCount != 3 {
+		t.Fatalf("suite ran with -count %d, want 3", gotCount)
+	}
+	var rep Report
+	if err := readJSON(outPath, &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := Result{Name: "BenchmarkX", Iterations: 100, NsPerOp: 200, BytesPerOp: 16, AllocsPerOp: 1}
+	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0] != want {
+		t.Fatalf("report = %+v, want one %+v", rep.Benchmarks, want)
+	}
+	if code := run(append(args, "-count", "0"), &stdout, &stderr); code != 2 {
+		t.Fatalf("-count 0 = %d, want 2", code)
+	}
+}
+
+func TestRunCompare(t *testing.T) {
+	dir := t.TempDir()
+	oldPath, newPath := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
+	old := Report{Schema: 1, Benchmarks: []Result{
+		{Name: "BenchmarkGone", NsPerOp: 5},
+		{Name: "BenchmarkX", NsPerOp: 2000, BytesPerOp: 64, AllocsPerOp: 4},
+	}}
+	cur := Report{Schema: 1, Benchmarks: []Result{
+		{Name: "BenchmarkNew", NsPerOp: 5},
+		{Name: "BenchmarkX", NsPerOp: 500, BytesPerOp: 32, AllocsPerOp: 2},
+	}}
+	if err := writeJSON(oldPath, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSON(newPath, cur); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-compare", oldPath, newPath}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-compare = %d, stderr %q", code, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("-compare printed %d lines, want a header and BenchmarkX only:\n%s", len(lines), stdout.String())
+	}
+	fields := strings.Fields(lines[1])
+	want := []string{"BenchmarkX", "2000.0", "500.0", "0.250", "64", "->", "32", "4", "->", "2"}
+	if strings.Join(fields, " ") != strings.Join(want, " ") {
+		t.Fatalf("-compare row %q, want fields %q", lines[1], want)
+	}
+	if code := run([]string{"-compare", oldPath}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-compare with one report = %d, want 2", code)
 	}
 }
 

@@ -474,3 +474,56 @@ func TestQuantileCIAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// FuzzQuantileOrderIndices checks the exact path's invariants for any
+// n in 1..100 and q, conf in (0, 1): valid indices, the promised
+// coverage, existence exactly from MinSamplesForQuantileCI on, and the
+// oracle's answer wherever the oracle finds one.
+func FuzzQuantileOrderIndices(f *testing.F) {
+	f.Add(uint8(59), 0.05, 0.95)
+	f.Add(uint8(30), 0.9, 0.95)
+	f.Add(uint8(6), 0.5, 0.95)
+	f.Add(uint8(100), 0.99, 0.8)
+	f.Fuzz(func(t *testing.T, nIn uint8, qIn, confIn float64) {
+		n := 1 + int(nIn)%exactMaxN
+		q, conf := unitFraction(qIn), unitFraction(confIn)
+		if q == 0 || conf == 0 {
+			t.Skip("input maps to no value in (0, 1)")
+		}
+		alpha := 1 - conf
+		l, u, ok := quantileOrderIndices(n, q, alpha)
+		if ok {
+			if l < 1 || l >= u || u > n {
+				t.Fatalf("n=%d q=%v conf=%v: invalid indices (%d, %d)", n, q, conf, l, u)
+			}
+			if cov := BinomialCDF(n, q, u-1) - BinomialCDF(n, q, l-1); cov < 1-alpha-1e-12 {
+				t.Fatalf("n=%d q=%v conf=%v: (%d, %d) covers %v < %v", n, q, conf, l, u, cov, 1-alpha)
+			}
+		}
+		min := MinSamplesForQuantileCI(q, conf)
+		if exists := min > 0 && n >= min; ok != exists {
+			// quantileOrderIndices accepts coverage 1e-12 short of
+			// 1-alpha; MinSamplesForQuantileCI allows no such slack, so
+			// the two may disagree only when the extreme interval's
+			// coverage sits within that slack of the target.
+			extreme := 1 - math.Pow(q, float64(n)) - math.Pow(1-q, float64(n))
+			if math.Abs(extreme-(1-alpha)) > 2e-12 {
+				t.Fatalf("n=%d q=%v conf=%v: ok=%v, MinSamplesForQuantileCI=%d", n, q, conf, ok, min)
+			}
+		}
+		if wl, wu, wok := referenceOrderIndices(n, q, alpha); wok && (l != wl || u != wu || !ok) {
+			t.Fatalf("n=%d q=%v conf=%v: got (%d, %d, %v), reference (%d, %d, %v)",
+				n, q, conf, l, u, ok, wl, wu, wok)
+		}
+	})
+}
+
+// unitFraction folds any float64 into [0, 1): the fractional part of
+// its magnitude, or 0 for NaN and the infinities.
+func unitFraction(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0
+	}
+	x = math.Abs(x)
+	return x - math.Floor(x)
+}
