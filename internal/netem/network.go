@@ -1,3 +1,12 @@
+// Package netem is a deterministic fluid-model emulator of shaped
+// virtual NICs under a virtual clock. It plays the role Linux tc
+// played in the paper (Section 4.2): a controllable substrate that
+// reproduces cloud traffic-shaping behaviour — token buckets, per-core
+// QoS, stochastic noise — without the confounding variability of a
+// real cloud. A Network advances its clock from one rate change to the
+// next, giving every active flow its max-min fair share of the shaped
+// egress and ingress capacity in between, so a run is a pure function
+// of its shapers, flows and seed.
 package netem
 
 import (
