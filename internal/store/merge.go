@@ -275,22 +275,11 @@ func MergeShards(dst *Store, runID string, shards []ShardData, want []string) (*
 		}
 	}
 
-	// Canonical matrix order: profiles as declared, then regimes, then
-	// repetitions — the fleet's enumeration order, so the merged cell
-	// sequence matches what a sequential single-process run persists.
-	profileIdx := make(map[string]int, len(ref.Spec.Profiles))
-	for i, p := range ref.Spec.Profiles {
-		profileIdx[p.Cloud+"/"+p.Instance] = i
-	}
-	regimeIdx := make(map[string]int, len(ref.Spec.Regimes))
-	for i, r := range ref.Spec.Regimes {
-		regimeIdx[r.Name] = i
-	}
 	order := make([]CellRecord, 0, len(merged))
 	for _, rec := range merged {
 		order = append(order, rec)
 	}
-	sortCells(order, profileIdx, regimeIdx)
+	sortCells(order, ref.Spec)
 
 	m := ref
 	m.RunID = runID
@@ -312,10 +301,20 @@ func MergeShards(dst *Store, runID string, shards []ShardData, want []string) (*
 	return dst.openRun(m)
 }
 
-// sortCells orders records by (profile declaration index, regime
-// declaration index, repetition). Validation pinned every record to
-// the manifest's matrix, so the index lookups cannot miss.
-func sortCells(recs []CellRecord, profileIdx, regimeIdx map[string]int) {
+// sortCells puts records in the spec's matrix order: profiles as
+// declared, then regimes, then repetitions — the fleet's enumeration
+// order, which a sequential single-process run persists. Labels are
+// unique and pinned to the spec's matrix (validated shards, or a run
+// resumed only under its own spec key), so the order is total.
+func sortCells(recs []CellRecord, spec SpecIdentity) {
+	profileIdx := make(map[string]int, len(spec.Profiles))
+	for i, p := range spec.Profiles {
+		profileIdx[p.Cloud+"/"+p.Instance] = i
+	}
+	regimeIdx := make(map[string]int, len(spec.Regimes))
+	for i, r := range spec.Regimes {
+		regimeIdx[r.Name] = i
+	}
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
 		pa, pb := profileIdx[a.Cloud+"/"+a.Instance], profileIdx[b.Cloud+"/"+b.Instance]

@@ -406,10 +406,17 @@ func (s *Store) ListRuns() ([]Manifest, error) {
 	return out, nil
 }
 
-// Cells loads one run's persisted cells in append order, dropping a
-// torn trailing line (a crashed writer) and any duplicate labels
-// (first write wins — later appends of a label can only come from
-// concurrent writers, which the store does not arbitrate between).
+// Cells loads one run's persisted cells in the spec's matrix order
+// (profile declaration index, then regime index, then repetition) —
+// the order MergeShards writes — dropping a torn trailing line (a
+// crashed writer) and any duplicate labels (first write wins — later
+// appends of a label can only come from concurrent writers, which the
+// store does not arbitrate between). The cells file itself stays in
+// completion order: Put appends cells as workers finish them, so the
+// file bytes of an unsharded run at workers>1 depend on scheduling,
+// and only the order Cells returns is canonical. A run directory with
+// no manifest has no matrix to order by and is returned in append
+// order.
 func (s *Store) Cells(runID string) ([]CellRecord, error) {
 	if !runIDPattern.MatchString(runID) {
 		return nil, fmt.Errorf("store: run id %q must match %s", runID, runIDPattern)
@@ -420,15 +427,15 @@ func (s *Store) Cells(runID string) ([]CellRecord, error) {
 	// exists and won't parse must fail loudly: silently falling back
 	// would read a nonexistent cells.jsonl for a columnar run and
 	// report "never measured", discarding every completed cell.
-	enc := EncodingJSONL
-	switch m, err := s.Manifest(runID); {
-	case err == nil:
-		enc = m.Encoding
-	case errors.Is(err, fs.ErrNotExist):
-	default:
-		return nil, err
+	m, err := s.Manifest(runID)
+	manifested := err == nil
+	if !manifested {
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+		m.Encoding = EncodingJSONL
 	}
-	path := filepath.Join(s.runDir(runID), cellsFileName(enc))
+	path := filepath.Join(s.runDir(runID), cellsFileName(m.Encoding))
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil // a created-but-never-measured run
@@ -436,13 +443,25 @@ func (s *Store) Cells(runID string) ([]CellRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: run %q cells: %w", runID, err)
 	}
-	if enc == EncodingColumnar {
-		recs, err := readCellsColumnar(b)
-		if err != nil {
-			return nil, fmt.Errorf("store: run %q cells: %w", runID, err)
-		}
-		return recs, nil
+	var recs []CellRecord
+	if m.Encoding == EncodingColumnar {
+		recs, err = readCellsColumnar(b)
+	} else {
+		recs, err = readCellsJSONL(b)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("store: run %q cells: %w", runID, err)
+	}
+	if manifested {
+		sortCells(recs, m.Spec)
+	}
+	return recs, nil
+}
+
+// readCellsJSONL decodes every complete line of a cells.jsonl image,
+// ignoring a torn trailing line and keeping the first copy of each
+// label.
+func readCellsJSONL(b []byte) ([]CellRecord, error) {
 	var out []CellRecord
 	seen := make(map[string]bool)
 	lines := strings.Split(string(b), "\n")
@@ -454,11 +473,11 @@ func (s *Store) Cells(runID string) ([]CellRecord, error) {
 		}
 		var rec CellRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("store: run %q cells line %d: %w", runID, i+1, err)
+			return nil, fmt.Errorf("line %d: %w", i+1, err)
 		}
 		if rec.Schema < MinSchemaVersion || rec.Schema > SchemaVersion {
-			return nil, fmt.Errorf("store: run %q cell %q has schema %d, this binary speaks %d-%d",
-				runID, rec.Label, rec.Schema, MinSchemaVersion, SchemaVersion)
+			return nil, fmt.Errorf("cell %q has schema %d, this binary speaks %d-%d",
+				rec.Label, rec.Schema, MinSchemaVersion, SchemaVersion)
 		}
 		if rec.Series == nil || seen[rec.Label] {
 			continue

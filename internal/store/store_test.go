@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -219,6 +220,99 @@ func TestCreateResumeRoundTrip(t *testing.T) {
 	wantMatrix, _ := store.MatrixKey(testSpec(t, 7))
 	if ms[0].SpecKey != wantKey || ms[0].MatrixKey != wantMatrix {
 		t.Fatal("manifest keys do not match the spec's")
+	}
+}
+
+// TestCellsReturnsMatrixOrder pins the read-side ordering contract
+// without depending on scheduling: cells Put in reverse matrix order
+// come back from Cells in spec.Cells() order, which is also the order
+// MergeShards writes the same cells in.
+func TestCellsReturnsMatrixOrder(t *testing.T) {
+	spec := testutil.TwoCloudSpec(t, 41, 1)
+	matrix := spec.Cells()
+	results, err := fleet.RunCells(spec, matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byLabel := make(map[string]fleet.CellResult, len(results))
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("cell %s: %v", r.Cell.Label(), r.Err)
+		}
+		byLabel[r.Cell.Label()] = r
+	}
+	// putAll persists results into a fresh run, in the given order.
+	putAll := func(t *testing.T, st *store.Store, runID string, meta store.RunMeta, order []fleet.CellResult) {
+		t.Helper()
+		run, err := st.CreateWithMeta(runID, spec, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer run.Close()
+		for _, r := range order {
+			if err := run.Put(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reversed := make([]fleet.CellResult, len(results))
+	for i, r := range results {
+		reversed[len(results)-1-i] = r
+	}
+
+	for name, enc := range map[string]string{"jsonl": store.EncodingJSONL, "columnar": store.EncodingColumnar} {
+		t.Run(name, func(t *testing.T) {
+			meta := mergeMeta(t, spec, enc)
+			st := testutil.TempStore(t)
+			putAll(t, st, "r1", meta, reversed)
+			cells, err := st.Cells("r1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]string, len(cells))
+			for i, rec := range cells {
+				got[i] = rec.Label
+			}
+			if want := labelsOf(matrix); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Cells order = %v, want matrix order %v", got, want)
+			}
+
+			// One shard holding the same cells, handed to MergeShards
+			// in reverse so the merge has to order them itself.
+			shardMeta := meta
+			shardMeta.Shard = &store.ShardStamp{Index: 0, Count: 1}
+			shardStore := testutil.TempStore(t)
+			putAll(t, shardStore, "shard-0", shardMeta, reversed)
+			d, err := store.LoadShard(shardStore, "shard-0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, j := 0, len(d.Cells)-1; i < j; i, j = i+1, j-1 {
+				d.Cells[i], d.Cells[j] = d.Cells[j], d.Cells[i]
+			}
+			dst := testutil.TempStore(t)
+			merged, err := store.MergeShards(dst, "r1", []store.ShardData{d}, labelsOf(matrix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged.Close()
+
+			// Appending in the order Cells returned must reproduce the
+			// merged cell file byte for byte.
+			replay := make([]fleet.CellResult, len(cells))
+			for i, rec := range cells {
+				replay[i] = byLabel[rec.Label]
+			}
+			replayed := testutil.TempStore(t)
+			putAll(t, replayed, "r1", meta, replay)
+			cellsFile := "cells.jsonl"
+			if enc == store.EncodingColumnar {
+				cellsFile = "cells.col"
+			}
+			if !bytes.Equal(readFile(t, replayed, "r1", cellsFile), readFile(t, dst, "r1", cellsFile)) {
+				t.Errorf("%s in Cells order differs from the merged run's", cellsFile)
+			}
+		})
 	}
 }
 
