@@ -179,24 +179,6 @@ func TestHPCCloudProfileErrors(t *testing.T) {
 	}
 }
 
-func TestBallaniProfile(t *testing.T) {
-	p, err := BallaniProfile("F", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := simrand.New(11)
-	sh := p.NewShaper(src)
-	if r := sh.Rate(1e12); r <= 0 || r > 1 {
-		t.Errorf("Ballani F rate %g Gbps outside (0, 1]", r)
-	}
-	if _, err := BallaniProfile("Z", 5); err == nil {
-		t.Error("unknown cloud should error")
-	}
-	if _, err := BallaniProfile("A", 0); err == nil {
-		t.Error("zero resample should error")
-	}
-}
-
 // TestEC2RegimeSlowdowns reproduces Figure 6's headline: full-speed
 // is ~7x slower than 5-30 and 10-30 is in between, because the
 // token bucket rations a refill-limited budget.

@@ -249,30 +249,3 @@ func HPCCloudProfile(cores int) (Profile, error) {
 		},
 	}, nil
 }
-
-// BallaniProfile wraps one of the A-H distributions as a profile, for
-// the Section 2.1 emulation: capacity is resampled every resampleSec
-// seconds (the paper uses 5 s for Figure 3a and 50 s for Figure 3b).
-func BallaniProfile(name string, resampleSec float64) (Profile, error) {
-	cloud, err := BallaniCloudByName(name)
-	if err != nil {
-		return Profile{}, err
-	}
-	if resampleSec <= 0 {
-		return Profile{}, fmt.Errorf("cloudmodel: non-positive resample interval %g", resampleSec)
-	}
-	dist := cloud.DistGbps()
-	return Profile{
-		Cloud:        "ballani-" + name,
-		Instance:     fmt.Sprintf("emulated-%s", name),
-		LineRateGbps: dist.Max(),
-		VNIC:         netem.GCEVNIC(),
-		NewShaper: func(src *simrand.Source) netem.Shaper {
-			sh, err := netem.NewSampledShaper(dist, resampleSec, src)
-			if err != nil {
-				panic(fmt.Sprintf("cloudmodel: building Ballani shaper: %v", err))
-			}
-			return sh
-		},
-	}, nil
-}

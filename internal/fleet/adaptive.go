@@ -6,17 +6,19 @@ import (
 
 	"cloudvar/internal/cloudmodel"
 	"cloudvar/internal/confirm"
-	"cloudvar/internal/fleet/pool"
 	"cloudvar/internal/trace"
 )
 
-// Adaptive campaign sizing: the CONFIRM analysis (internal/confirm)
+// Campaign scheduling: the CONFIRM analysis (internal/confirm)
 // promoted from post-hoc reporting into the scheduler itself, per the
 // paper's §5 methodology. Fixed repetition counts are the central
 // failure mode the paper warns about — short campaigns reach wrong
 // conclusions where variance is high, long ones waste budget where it
 // is low — so when CampaignSpec.Stopping is active, repetition counts
-// are decided by achieved CI precision instead.
+// are decided by achieved CI precision instead. A fixed campaign is
+// the degenerate plan: one batch holding the whole matrix, with no
+// stopping decision after it. Every campaign, local or sharded, runs
+// through the same planner.
 //
 // Determinism contract: the stopping decision is derived only from
 // cell substreams and arrival-order-independent group state. Cells run
@@ -24,99 +26,107 @@ import (
 // trackers are fed in repetition order after *all* of the round's
 // cells finished, never in completion order. Every quantity the
 // schedule depends on (summaries, trackers, budget arithmetic) is a
-// pure function of (spec minus Workers/Progress/Sink), so adaptive
-// runs are bit-identical at any worker count and across resume — the
-// same property the fixed path proves, extended to the schedule
-// itself.
+// pure function of (spec minus Workers/Progress/Sink), so runs are
+// bit-identical at any worker count and across resume — the schedule
+// included.
 //
 // The schedule lives in AdaptivePlanner, a feed-forward state machine
-// (NextBatch → execute anywhere → Observe, repeat): runAdaptive drives
-// it with the local worker pool, and a distributed coordinator
-// (internal/shard) drives the identical machine with cells executed on
-// remote workers — the batch barrier becomes the coordinator's
-// synchronization point, and because the planner never sees *where* a
-// cell ran, the schedule (and therefore every result byte) matches the
-// single-process run.
+// (NextBatch → execute anywhere → Observe, repeat): Run drives it with
+// the local worker pool, and a distributed coordinator (internal/shard)
+// drives the identical machine with cells executed on remote workers —
+// the batch barrier becomes the coordinator's synchronization point,
+// and because the planner never sees *where* a cell ran, the schedule
+// (and therefore every result byte) matches the single-process run.
 
 // adaptiveGroup is the scheduler's per-(profile, regime) state.
 type adaptiveGroup struct {
 	profile cloudmodel.Profile
 	regime  trace.Regime
-	// results holds the group's cells in repetition order.
+	// results holds the group's cells in repetition order. After the
+	// first batch it is a cap-limited window of that batch's results,
+	// so a later append copies instead of overwriting the next group.
 	results []CellResult
-	// tracker accumulates each successful repetition's summary mean.
+	// target is the repetition count the next batch grows the group to.
+	target int
+	// tracker accumulates each successful repetition's summary mean;
+	// nil for a fixed campaign, which makes no stopping decision.
 	tracker *confirm.Tracker
 	// stopped marks a group the policy will not grow again: its CI
 	// converged or it hit MaxReps.
 	stopped bool
 }
 
-// AdaptivePlanner is the sequential-stopping schedule as an explicit
-// state machine. Repeatedly take NextBatch, execute its cells by any
-// means that honors the per-cell substream contract (the local pool,
+// AdaptivePlanner is the campaign schedule as an explicit state
+// machine. Repeatedly take NextBatch, execute its cells by any means
+// that honors the per-cell substream contract (the local pool,
 // RunCells on remote shards), and feed every result of the batch back
 // through Observe; when NextBatch returns an empty batch, Result holds
-// the campaign outcome. The batch sequence is a pure function of (spec
-// minus Workers/Progress/Sink) and the observed summaries, so two
-// drivers that execute cells faithfully produce bit-identical
+// the campaign outcome. Without a stopping policy the plan is a single
+// batch of spec.Cells(). The batch sequence is a pure function of
+// (spec minus Workers/Progress/Sink) and the observed summaries, so
+// two drivers that execute cells faithfully produce bit-identical
 // campaigns.
 type AdaptivePlanner struct {
-	spec             CampaignSpec
-	groups           []*adaptiveGroup
-	targets          []int
-	budget, spent    int
-	minReps, maxReps int
-	// batch/owner hold the outstanding batch between NextBatch and
-	// Observe; ready distinguishes "not yet gathered" from "gathered
-	// and empty" (campaign complete).
+	spec          CampaignSpec
+	groups        []adaptiveGroup
+	budget, spent int
+	maxReps       int
+	// batch holds the outstanding batch between NextBatch and Observe;
+	// ready distinguishes "not yet gathered" from "gathered and empty"
+	// (campaign complete).
 	batch []Cell
-	owner []int
 	ready bool
+	// first is the first observed batch's results: while it is the
+	// only one, it is the campaign's cells in enumeration order.
+	first []CellResult
 }
 
 // NewAdaptivePlanner validates the spec and builds the scheduler state
-// for its stopping policy. The spec must have Stopping active.
+// for it: its stopping policy, or one batch of the whole matrix when
+// Stopping is zero.
 func NewAdaptivePlanner(spec CampaignSpec) (*AdaptivePlanner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Stopping.IsZero() {
-		return nil, fmt.Errorf("fleet: adaptive planner needs a stopping policy")
-	}
 	return newPlanner(spec), nil
 }
 
-// newPlanner builds the planner for an already-validated spec.
+// newPlanner builds the planner for an already-validated spec. A zero
+// Stopping reads as min = max = EffectiveRepetitions with no tracker,
+// so the first batch is the matrix and Observe stops every group.
 func newPlanner(spec CampaignSpec) *AdaptivePlanner {
 	st := spec.Stopping
+	minReps, maxReps := spec.EffectiveRepetitions(), spec.EffectiveRepetitions()
+	if !st.IsZero() {
+		minReps, maxReps = st.EffectiveMinReps(), st.MaxReps
+	}
 	regimes := spec.EffectiveRegimes()
-	groups := make([]*adaptiveGroup, 0, len(spec.Profiles)*len(regimes))
+	groups := make([]adaptiveGroup, 0, len(spec.Profiles)*len(regimes))
 	for _, p := range spec.Profiles {
 		for _, r := range regimes {
-			// Parameters were validated with the spec; a tracker error
-			// here would be a programming error, so surface it loudly.
-			tr, err := confirm.NewTracker(st.EffectiveQuantile(), st.EffectiveConfidence(), st.ErrorBound)
-			if err != nil {
-				panic(fmt.Sprintf("fleet: stopping spec validated but tracker rejected it: %v", err))
+			g := adaptiveGroup{profile: p, regime: r, target: minReps}
+			if !st.IsZero() {
+				// Parameters were validated with the spec; a tracker
+				// error here would be a programming error, so surface
+				// it loudly.
+				tr, err := confirm.NewTracker(st.EffectiveQuantile(), st.EffectiveConfidence(), st.ErrorBound)
+				if err != nil {
+					panic(fmt.Sprintf("fleet: stopping spec validated but tracker rejected it: %v", err))
+				}
+				g.tracker = tr
 			}
-			groups = append(groups, &adaptiveGroup{profile: p, regime: r, tracker: tr})
+			groups = append(groups, g)
 		}
 	}
-	p := &AdaptivePlanner{
+	return &AdaptivePlanner{
 		spec:    spec,
 		groups:  groups,
-		targets: make([]int, len(groups)),
-		minReps: st.EffectiveMinReps(),
-		maxReps: st.MaxReps,
+		maxReps: maxReps,
 		// The campaign-wide repetition budget. Every group starts at
 		// the minimum; what converged groups leave unspent is
 		// reallocated to the unconverged ones, up to MaxReps each.
 		budget: spec.EffectiveBudget() * len(groups),
 	}
-	for i := range p.targets {
-		p.targets[i] = p.minReps
-	}
-	return p
 }
 
 // Budget returns the campaign-wide repetition budget — an upper bound
@@ -125,8 +135,8 @@ func newPlanner(spec CampaignSpec) *AdaptivePlanner {
 func (p *AdaptivePlanner) Budget() int { return p.budget }
 
 // Scheduled returns the number of cells issued so far: consumed
-// batches plus the outstanding one. It is the Progress total an
-// adaptive driver should report.
+// batches plus the outstanding one. It is the Progress total a driver
+// should report.
 func (p *AdaptivePlanner) Scheduled() int { return p.spent + len(p.batch) }
 
 // NextBatch returns the next deterministic batch of cells — per group,
@@ -135,10 +145,14 @@ func (p *AdaptivePlanner) Scheduled() int { return p.spent + len(p.batch) }
 // complete. The same batch is returned until Observe consumes it.
 func (p *AdaptivePlanner) NextBatch() []Cell {
 	if !p.ready {
-		for gi, g := range p.groups {
-			for rep := len(g.results); rep < p.targets[gi]; rep++ {
+		n := 0
+		for _, g := range p.groups {
+			n += g.target - len(g.results)
+		}
+		p.batch = make([]Cell, 0, n)
+		for _, g := range p.groups {
+			for rep := len(g.results); rep < g.target; rep++ {
 				p.batch = append(p.batch, Cell{Profile: g.profile, Regime: g.regime, Rep: rep})
-				p.owner = append(p.owner, gi)
 			}
 		}
 		p.ready = true
@@ -151,7 +165,8 @@ func (p *AdaptivePlanner) NextBatch() []Cell {
 // reallocates unspent budget to the unconverged groups. Results feed
 // the group trackers in repetition order only here, after the whole
 // batch finished: the barrier that keeps the schedule independent of
-// completion order.
+// completion order. The planner keeps the results slice, so the
+// caller must not modify it afterwards.
 func (p *AdaptivePlanner) Observe(results []CellResult) error {
 	if !p.ready {
 		return fmt.Errorf("fleet: Observe without an outstanding batch")
@@ -160,32 +175,50 @@ func (p *AdaptivePlanner) Observe(results []CellResult) error {
 		return fmt.Errorf("fleet: observed %d results for a batch of %d", len(results), len(p.batch))
 	}
 	for i, res := range results {
-		if want := p.batch[i].Label(); res.Cell.Label() != want {
-			return fmt.Errorf("fleet: result %d is cell %s, batch expects %s", i, res.Cell.Label(), want)
+		if !sameCell(res.Cell, p.batch[i]) {
+			return fmt.Errorf("fleet: result %d is cell %s, batch expects %s", i, res.Cell.Label(), p.batch[i].Label())
 		}
 	}
-	for i, res := range results {
-		g := p.groups[p.owner[i]]
-		g.results = append(g.results, res)
-		if res.Err == nil {
-			g.tracker.Push(res.Summary.Mean)
-		}
-		p.spent++
+	if p.spent == 0 {
+		p.first = results
 	}
-	p.batch, p.owner, p.ready = nil, nil, false
+	// Each group's new results are a contiguous run of the batch.
+	i := 0
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		n := g.target - len(g.results)
+		fresh := results[i : i+n : i+n]
+		i += n
+		if len(g.results) == 0 {
+			g.results = fresh
+		} else {
+			g.results = append(g.results, fresh...)
+		}
+		if g.tracker != nil {
+			for _, res := range fresh {
+				if res.Err == nil {
+					g.tracker.Push(res.Summary.Mean)
+				}
+			}
+		}
+	}
+	p.spent += len(results)
+	p.batch, p.ready = nil, false
 
 	// Stopping decisions, then budget reallocation over whatever is
-	// still unconverged.
+	// still unconverged. The MaxReps check comes first, so a fixed
+	// plan stops after its one batch without consulting a tracker.
 	var open []int
-	for gi, g := range p.groups {
+	for gi := range p.groups {
+		g := &p.groups[gi]
 		if g.stopped {
 			continue
 		}
-		if pt, ok := g.tracker.Latest(); ok && pt.WithinBound {
+		if len(g.results) >= p.maxReps {
 			g.stopped = true
 			continue
 		}
-		if len(g.results) >= p.maxReps {
+		if pt, ok := g.tracker.Latest(); ok && pt.WithinBound {
 			g.stopped = true
 			continue
 		}
@@ -204,7 +237,7 @@ func (p *AdaptivePlanner) Observe(results []CellResult) error {
 		if share == 0 {
 			continue
 		}
-		g := p.groups[gi]
+		g := &p.groups[gi]
 		n := len(g.results)
 		// CONFIRM's c/sqrt(n) extrapolation guides the next target;
 		// when it has no usable prediction, grow geometrically (×1.5)
@@ -223,20 +256,35 @@ func (p *AdaptivePlanner) Observe(results []CellResult) error {
 		if add <= 0 {
 			continue
 		}
-		p.targets[gi] = n + add
+		g.target = n + add
 	}
 	return nil
 }
 
+// sameCell reports whether a and b name the same cell, field by field
+// — the parts of Label that identify a cell within one spec.
+func sameCell(a, b Cell) bool {
+	return a.Rep == b.Rep && a.Regime.Name == b.Regime.Name &&
+		a.Profile.Cloud == b.Profile.Cloud && a.Profile.Instance == b.Profile.Instance
+}
+
 // Result assembles the campaign outcome: cells in enumeration order
 // (profiles outermost, then regimes, then each group's repetitions
-// 0..n-1), group aggregates, and each group's achieved CI precision.
+// 0..n-1), group aggregates and, when stopping is active, each group's
+// achieved CI precision. A one-batch campaign's cells are the observed
+// slice itself, already in enumeration order.
 func (p *AdaptivePlanner) Result() CampaignResult {
-	var cells []CellResult
-	for _, g := range p.groups {
-		cells = append(cells, g.results...)
+	cells := p.first
+	if len(cells) != p.spent {
+		cells = make([]CellResult, 0, p.spent)
+		for _, g := range p.groups {
+			cells = append(cells, g.results...)
+		}
 	}
-	result := CampaignResult{Cells: cells, Groups: groupResults(p.spec, cells)}
+	result := Assemble(p.spec, cells)
+	if p.spec.Stopping.IsZero() {
+		return result
+	}
 	// groupResults builds groups in first-cell-encounter order, which
 	// is exactly the scheduler's enumeration order, so precision
 	// attaches 1:1.
@@ -244,32 +292,6 @@ func (p *AdaptivePlanner) Result() CampaignResult {
 		result.Groups[gi].Precision = p.groups[gi].precision()
 	}
 	return result
-}
-
-// runAdaptive executes the campaign under the sequential-stopping
-// policy with the local worker pool. spec has been validated; stored
-// holds the sink's persisted cells (nil without a sink).
-func runAdaptive(spec CampaignSpec, stored map[string]StoredCell) CampaignResult {
-	p := newPlanner(spec)
-	// One scratch arena per worker, reused across batches; contents
-	// never outlive a cell (the determinism-vs-reuse contract).
-	scratches := make([]workerScratch, pool.NumWorkers(spec.Workers, p.Budget()))
-	var restoreScratch workerScratch
-	ps := &progressState{}
-	for {
-		batch := p.NextBatch()
-		if len(batch) == 0 {
-			break
-		}
-		ps.total = p.Scheduled()
-		results := executeCells(spec, batch, stored, scratches, &restoreScratch, ps)
-		if err := p.Observe(results); err != nil {
-			// The driver above hands Observe exactly what NextBatch
-			// issued; a mismatch is a programming error.
-			panic(fmt.Sprintf("fleet: adaptive batch bookkeeping: %v", err))
-		}
-	}
-	return p.Result()
 }
 
 // precision snapshots the group's achieved CI state.

@@ -97,8 +97,9 @@ type CampaignSpec struct {
 	// bound (internal/confirm). Repetitions then acts as the per-group
 	// repetition *budget* (see EffectiveBudget). Part of the spec
 	// identity: an adaptively sized campaign is a different experiment
-	// from a fixed one. The zero value keeps today's fixed-reps
-	// behavior — and today's spec keys.
+	// from a fixed one. The zero value is a one-batch plan: the whole
+	// matrix of Repetitions per group, no stopping decision — and
+	// today's spec keys.
 	Stopping StoppingSpec
 	// Scenario records the adverse-condition scenario the profiles
 	// were expanded with (internal/scenario); zero for plain
@@ -440,9 +441,9 @@ type CellResult struct {
 // Progress reports one completed cell to the spec's hook.
 type Progress struct {
 	// Done counts cells completed so far (including this one); Total
-	// is the matrix size. In an adaptive run (Stopping active) the
-	// matrix size is not known upfront, so Total is the number of
-	// cells scheduled so far — it grows as batches are added.
+	// is the number of cells scheduled so far. A fixed campaign
+	// schedules its whole matrix in one batch, so Total is the matrix
+	// size; with Stopping active it grows as batches are added.
 	Done, Total int
 	// Result is the cell that just finished.
 	Result CellResult
@@ -580,8 +581,10 @@ func WorkloadSource(seed uint64, c Cell, name string) *simrand.Source {
 	return simrand.New(seed).Substream("workload/" + c.Label() + "/" + name)
 }
 
-// Run executes the campaign matrix across the worker pool. The
-// returned CampaignResult is bit-identical for equal (spec minus
+// Run executes the campaign's plan (AdaptivePlanner) across the worker
+// pool: one batch of the whole matrix for a fixed campaign, batches
+// until the stopping policy ends it otherwise. The returned
+// CampaignResult is bit-identical for equal (spec minus
 // Workers/Progress/Sink): cell ordering, series contents and group
 // statistics do not depend on scheduling, and cells restored from a
 // Sink are indistinguishable from freshly executed ones. Cell errors
@@ -602,14 +605,26 @@ func Run(spec CampaignSpec) (CampaignResult, error) {
 			return CampaignResult{}, fmt.Errorf("fleet: loading persisted cells: %w", err)
 		}
 	}
-	if !spec.Stopping.IsZero() {
-		return runAdaptive(spec, stored), nil
-	}
-	cells := spec.Cells()
+	p := newPlanner(spec)
+	// One scratch arena per worker, reused across batches; contents
+	// never outlive a cell (the determinism-vs-reuse contract).
+	scratches := make([]workerScratch, pool.NumWorkers(spec.Workers, p.Budget()))
 	var restoreScratch workerScratch
-	ps := &progressState{total: len(cells)}
-	results := executeCells(spec, cells, stored, nil, &restoreScratch, ps)
-	return CampaignResult{Cells: results, Groups: groupResults(spec, results)}, nil
+	ps := &progressState{}
+	for {
+		batch := p.NextBatch()
+		if len(batch) == 0 {
+			break
+		}
+		ps.total = p.Scheduled()
+		results := executeCells(spec, batch, stored, scratches, &restoreScratch, ps)
+		if err := p.Observe(results); err != nil {
+			// The loop above hands Observe exactly what NextBatch
+			// issued; a mismatch is a programming error.
+			panic(fmt.Sprintf("fleet: batch bookkeeping: %v", err))
+		}
+	}
+	return p.Result(), nil
 }
 
 // RunCells executes exactly the given cells of the campaign — the
@@ -648,11 +663,10 @@ func RunCells(spec CampaignSpec, cells []Cell) ([]CellResult, error) {
 	return executeCells(spec, cells, stored, nil, &restoreScratch, ps), nil
 }
 
-// Assemble rolls per-cell results into a CampaignResult — the final
-// aggregation step a distributed coordinator performs after gathering
-// shard results back into enumeration order. Assemble(spec,
-// result.Cells) reproduces result.Groups (minus adaptive precision,
-// which AdaptivePlanner.Result attaches).
+// Assemble rolls per-cell results, such as RunCells output, into a
+// CampaignResult, grouping them per (profile, regime) in the order
+// given. Assemble(spec, result.Cells) reproduces result.Groups (minus
+// adaptive precision, which AdaptivePlanner.Result attaches).
 func Assemble(spec CampaignSpec, results []CellResult) CampaignResult {
 	return CampaignResult{Cells: results, Groups: groupResults(spec, results)}
 }
@@ -670,15 +684,15 @@ func SummarizeStored(mode SummarizeMode, series *trace.Series) stats.Summary {
 }
 
 // progressState is the shared done/total bookkeeping behind the
-// Progress hook; total is the fixed matrix size, or the number of
-// cells scheduled so far in an adaptive run.
+// Progress hook; total is the number of cells the planner has
+// scheduled so far (the matrix size, for a fixed campaign).
 type progressState struct {
 	mu          sync.Mutex
 	done, total int
 }
 
-// executeCells is the shared execution core of Run, RunCells and the
-// adaptive scheduler: restore what the sink already holds, fan the
+// executeCells is the shared execution core of Run's batches and
+// RunCells: restore what the sink already holds, fan the
 // remainder across the worker pool, and return results in cell order.
 // scratches supplies the per-worker arenas (nil means size-to-fit);
 // restored cells advance ps.done without firing the Progress hook,

@@ -37,7 +37,7 @@ func BenchmarkFleetRun(b *testing.B) {
 // BenchmarkFleetAdaptiveRun measures the sequential-stopping scheduler
 // on the same matrix with a bound tight enough that every round
 // reallocates budget — the worst case for batch-barrier overhead
-// relative to the fixed path above.
+// relative to the one-batch fixed campaign above.
 //
 //	go test ./internal/fleet -run '^$' -bench BenchmarkFleetAdaptiveRun -benchmem -count 10
 func BenchmarkFleetAdaptiveRun(b *testing.B) {

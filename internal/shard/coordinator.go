@@ -99,37 +99,28 @@ func Run(c Campaign) (fleet.CampaignResult, []store.ShardData, error) {
 	dead := &deadSet{members: make([]bool, len(c.Workers))}
 	health := newFleetHealth(c.Workers, c.Fallback, c.Retry, dead)
 
-	var result fleet.CampaignResult
-	if spec.Stopping.IsZero() {
-		results, err := runBatch(health, specKey, attempts, spec.Cells())
-		if err != nil {
-			return fleet.CampaignResult{}, nil, err
-		}
-		result = fleet.Assemble(spec, results)
-	} else {
-		// The adaptive schedule runs here, never on workers: each
-		// planner batch fans out by owner, and Observe at this barrier
-		// feeds trackers in repetition order — the same schedule a
-		// single process computes.
-		planner, err := fleet.NewAdaptivePlanner(spec)
-		if err != nil {
-			return fleet.CampaignResult{}, nil, err
-		}
-		for {
-			batch := planner.NextBatch()
-			if len(batch) == 0 {
-				break
-			}
-			results, err := runBatch(health, specKey, attempts, batch)
-			if err != nil {
-				return fleet.CampaignResult{}, nil, err
-			}
-			if err := planner.Observe(results); err != nil {
-				return fleet.CampaignResult{}, nil, err
-			}
-		}
-		result = planner.Result()
+	// The schedule runs here, never on workers: each planner batch fans
+	// out by owner, and Observe at this barrier feeds trackers in
+	// repetition order — the same schedule a single process computes.
+	// A fixed campaign is one batch of the whole matrix.
+	planner, err := fleet.NewAdaptivePlanner(spec)
+	if err != nil {
+		return fleet.CampaignResult{}, nil, err
 	}
+	for {
+		batch := planner.NextBatch()
+		if len(batch) == 0 {
+			break
+		}
+		results, err := runBatch(health, specKey, attempts, batch)
+		if err != nil {
+			return fleet.CampaignResult{}, nil, err
+		}
+		if err := planner.Observe(results); err != nil {
+			return fleet.CampaignResult{}, nil, err
+		}
+	}
+	result := planner.Result()
 
 	shards, err := collectShards(c.Workers, dead)
 	if err != nil {

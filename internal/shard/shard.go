@@ -17,9 +17,10 @@
 //     arrival order. Reassignment after a worker failure re-executes
 //     the same labels, and labels key the random substreams, so the
 //     retry reproduces the dead worker's bytes exactly.
-//  2. Workers never make scheduling decisions. An adaptive campaign's
-//     batch structure is computed by fleet.AdaptivePlanner at the
-//     coordinator; workers only execute explicit cell lists
+//  2. Workers never make scheduling decisions. One planner drives
+//     every campaign: fleet.AdaptivePlanner computes the batch
+//     structure at the coordinator (a fixed campaign is one batch of
+//     the whole matrix); workers only execute explicit cell lists
 //     (fleet.RunCells), and the batch barrier synchronizes at the
 //     coordinator so stopping decisions stay repetition-ordered.
 //  3. The merge refuses ambiguity. Shard stores carry the campaign's

@@ -62,24 +62,6 @@ func CoefficientOfVariation(xs []float64) float64 {
 	return StdDev(xs) / math.Abs(m)
 }
 
-// MinMax returns the smallest and largest values in xs. It returns
-// NaNs for empty input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0

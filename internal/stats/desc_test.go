@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,17 +48,6 @@ func TestCoefficientOfVariation(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%g, %g), want (-1, 7)", min, max)
-	}
-	min, max = MinMax(nil)
-	if !math.IsNaN(min) || !math.IsNaN(max) {
-		t.Error("MinMax(nil) should be NaNs")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	src := simrand.New(8)
 	xs := make([]float64, 500)
@@ -72,8 +62,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if !almostEqual(w.Variance(), Variance(xs), 1e-6) {
 		t.Errorf("Welford variance %g != batch %g", w.Variance(), Variance(xs))
 	}
-	min, max := MinMax(xs)
-	if w.Min() != min || w.Max() != max {
+	if w.Min() != slices.Min(xs) || w.Max() != slices.Max(xs) {
 		t.Error("Welford min/max mismatch")
 	}
 	if w.N() != len(xs) {
@@ -125,8 +114,7 @@ func TestQuantilePropertyBounds(t *testing.T) {
 		}
 		p := math.Abs(math.Mod(pRaw, 1))
 		q := Quantile(xs, p)
-		min, max := MinMax(xs)
-		return q >= min-1e-9 && q <= max+1e-9
+		return q >= slices.Min(xs)-1e-9 && q <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
